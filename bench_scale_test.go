@@ -32,6 +32,7 @@ func BenchmarkScale(b *testing.B) {
 			b.ReportMetric(float64(pt.Lines), "lines")
 			b.ReportMetric(pt.ParseMs, "parse_ms")
 			b.ReportMetric(pt.AnalyzeMs, "analyze_ms")
+			b.ReportMetric(pt.DriverAnalyzeMs, "driver_analyze_ms")
 			b.ReportMetric(pt.ParallelizeMs, "parallelize_ms")
 			b.ReportMetric(pt.IncrementalMs, "incremental_ms")
 			b.ReportMetric(pt.ExecMs, "exec_ms")

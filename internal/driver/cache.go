@@ -41,9 +41,10 @@ const DefaultCacheCapacity = 128
 
 // Cache memoizes analysis results by source content hash, bounded to a
 // fixed number of entries with LRU eviction. Concurrent callers asking for
-// the same program share one analysis run (singleflight per entry); every
-// waiter on a cancelled run observes the same cancellation error, and the
-// cancelled entry is dropped so a later request retries from scratch.
+// the same program share one analysis run (singleflight per entry). The run
+// belongs to no single caller: it keeps going while any interested caller
+// is still waiting, and is cancelled (and its entry dropped, so a later
+// request retries from scratch) only when the last one has left.
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
@@ -54,16 +55,21 @@ type Cache struct {
 	evictions atomic.Int64
 }
 
-// cacheEntry is one singleflight slot. The computing goroutine fills res/err
-// and then closes done; everyone else blocks on done (or their own ctx).
-// complete is written under Cache.mu, so eviction can skip in-flight runs.
+// cacheEntry is one singleflight slot. A goroutine of its own computes
+// res/err (or recovers a panic into panicked) and then closes done;
+// callers block on done or their own ctx. complete and waiters are guarded
+// by Cache.mu: eviction skips in-flight runs, and waiters counts the callers
+// still blocked on an in-flight run, whose last departure cancels it.
 type cacheEntry struct {
 	key      string
 	elem     *list.Element
 	done     chan struct{}
 	complete bool
+	waiters  int
+	cancel   context.CancelFunc
 	res      *Result
 	err      error
+	panicked any
 }
 
 // NewCache returns an empty cache with DefaultCacheCapacity.
@@ -101,46 +107,80 @@ func (c *Cache) Analyze(name, src string, opt Options) (*Result, error) {
 	return c.AnalyzeCtx(context.Background(), name, src, opt)
 }
 
-// AnalyzeCtx is Analyze with cancellation. The first caller for a key runs
-// the parse+analysis under its own ctx; concurrent callers for the same key
-// wait for that run. A waiter whose own ctx ends returns its ctx error and
-// leaves the run going for the others; if the running caller's ctx ends,
-// the run is abandoned, every waiter observes that same cancellation error,
-// and the entry is removed so the next request recomputes.
+// AnalyzeCtx is Analyze with cancellation. The first caller for a key starts
+// the parse+analysis on a context detached from its own (it keeps ctx's
+// values, not its cancellation) and, like every later caller for the key,
+// waits for the run. A caller whose own ctx ends returns its ctx error and
+// stops counting as interested. The run is cancelled only when no caller is
+// left waiting; its entry is then removed at once, so the next request
+// recomputes instead of joining the abandoned run. A panic in the analysis
+// is re-raised in every waiting caller, and its entry is removed too.
 func (c *Cache) AnalyzeCtx(ctx context.Context, name, src string, opt Options) (*Result, error) {
 	key := Key(name, src)
 
 	c.mu.Lock()
-	if e := c.entries[key]; e != nil {
+	e := c.entries[key]
+	if e != nil {
 		c.hits.Add(1)
 		c.order.MoveToFront(e.elem)
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			return e.res, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	} else {
+		e = &cacheEntry{key: key, done: make(chan struct{})}
+		e.elem = c.order.PushFront(e)
+		c.entries[key] = e
+		c.misses.Add(1)
+		c.evictLocked()
+		var runCtx context.Context
+		runCtx, e.cancel = context.WithCancel(context.WithoutCancel(ctx))
+		go c.run(runCtx, e, name, src, opt)
 	}
-	e := &cacheEntry{key: key, done: make(chan struct{})}
-	e.elem = c.order.PushFront(e)
-	c.entries[key] = e
-	c.misses.Add(1)
-	c.evictLocked()
+	if !e.complete {
+		e.waiters++
+	}
 	c.mu.Unlock()
 
-	e.res, e.err = c.compute(ctx, name, src, opt)
+	select {
+	case <-e.done:
+		if e.panicked != nil {
+			panic(e.panicked)
+		}
+		return e.res, e.err
+	case <-ctx.Done():
+		c.leave(e)
+		return nil, ctx.Err()
+	}
+}
 
+// leave drops one waiter from e; the last waiter out of an in-flight run
+// cancels it and unlinks the entry.
+func (c *Cache) leave(e *cacheEntry) {
 	c.mu.Lock()
-	if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
-		// Cancelled, not failed: drop the entry so a later request retries.
-		// Deterministic failures (parse errors) stay cached.
+	defer c.mu.Unlock()
+	if e.complete {
+		return
+	}
+	if e.waiters--; e.waiters == 0 {
+		e.cancel()
 		c.removeLocked(e)
 	}
-	e.complete = true
-	c.mu.Unlock()
-	close(e.done)
-	return e.res, e.err
+}
+
+// run computes e on its own goroutine and publishes the outcome.
+func (c *Cache) run(ctx context.Context, e *cacheEntry, name, src string, opt Options) {
+	defer func() {
+		e.panicked = recover()
+		c.mu.Lock()
+		if e.panicked != nil || errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
+			// Cancelled or crashed, not failed: drop the entry so a later
+			// request retries. Deterministic failures (parse errors) stay
+			// cached.
+			c.removeLocked(e)
+		}
+		e.complete = true
+		c.mu.Unlock()
+		e.cancel()
+		close(e.done)
+	}()
+	e.res, e.err = c.compute(ctx, name, src, opt)
 }
 
 func (c *Cache) compute(ctx context.Context, name, src string, opt Options) (*Result, error) {

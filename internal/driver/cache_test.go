@@ -133,56 +133,173 @@ func TestCacheResetInFlightRace(t *testing.T) {
 	}
 }
 
-// TestCacheCancelledRunSharedAndRetried: every waiter on a cancelled run
-// observes the same cancellation, and the key is retried fresh afterwards.
+// TestCacheCancelledRunSharedAndRetried pins the shared-work cancellation
+// contract. The run belongs to no single caller: when the caller that
+// started it cancels, the waiters with live contexts still get the result.
+// Only when every interested caller has left is the run cancelled, and its
+// key is then retried from scratch.
 func TestCacheCancelledRunSharedAndRetried(t *testing.T) {
 	w := workloads.All()[0]
-	c := NewCache()
 
+	t.Run("leader cancels", func(t *testing.T) {
+		c := NewCache()
+		started := make(chan struct{})
+		var gateOnce sync.Once
+		ctx, cancel := context.WithCancel(context.Background())
+		// Hold the run until the leader has cancelled: the run must then
+		// carry on for the waiters rather than observe the cancellation.
+		opt := Options{Workers: 1, onProc: func(wave int, proc string) {
+			gateOnce.Do(func() { close(started) })
+			<-ctx.Done()
+		}}
+
+		leader := make(chan error, 1)
+		go func() {
+			_, err := c.AnalyzeCtx(ctx, w.Name, w.Source, opt)
+			leader <- err
+		}()
+		<-started
+		const waiters = 4
+		type outcome struct {
+			res *Result
+			err error
+		}
+		outs := make(chan outcome, waiters)
+		for i := 0; i < waiters; i++ {
+			go func() {
+				res, err := c.AnalyzeCtx(context.Background(), w.Name, w.Source, Options{})
+				outs <- outcome{res, err}
+			}()
+		}
+		// Every waiter registers on the in-flight entry as a cache hit.
+		for c.Stats().Hits < waiters {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		if err := <-leader; !errors.Is(err, context.Canceled) {
+			t.Fatalf("leader: err = %v, want context.Canceled", err)
+		}
+		var first *Result
+		for i := 0; i < waiters; i++ {
+			o := <-outs
+			if o.err != nil || o.res == nil {
+				t.Fatalf("waiter %d: err = %v; a live waiter must get the shared result", i, o.err)
+			}
+			if first == nil {
+				first = o.res
+			} else if o.res != first {
+				t.Fatalf("waiter %d got a different result: the run was not shared", i)
+			}
+		}
+		// The finished run stays cached: the next request is a pure hit.
+		res, err := c.Analyze(w.Name, w.Source, Options{})
+		if err != nil || res != first {
+			t.Fatalf("request after the shared run: res changed or err = %v", err)
+		}
+		if st := c.Stats(); st.Misses != 1 || st.Entries != 1 {
+			t.Fatalf("stats = %+v, want the one run cached", st)
+		}
+	})
+
+	t.Run("all callers cancel", func(t *testing.T) {
+		c := NewCache()
+		started := make(chan struct{})
+		release := make(chan struct{})
+		var gateOnce sync.Once
+		opt := Options{Workers: 1, onProc: func(wave int, proc string) {
+			gateOnce.Do(func() { close(started) })
+			<-release
+		}}
+		defer close(release)
+
+		const callers = 3
+		ctxs := make([]context.CancelFunc, callers)
+		errs := make(chan error, callers)
+		for i := 0; i < callers; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			ctxs[i] = cancel
+			o := Options{}
+			if i == 0 {
+				o = opt
+			}
+			go func() {
+				_, err := c.AnalyzeCtx(ctx, w.Name, w.Source, o)
+				errs <- err
+			}()
+			if i == 0 {
+				<-started
+			}
+		}
+		for c.Stats().Hits < callers-1 {
+			time.Sleep(time.Millisecond)
+		}
+		// All but the last caller leave: the run must survive.
+		for i := 0; i < callers-1; i++ {
+			ctxs[i]()
+			if err := <-errs; !errors.Is(err, context.Canceled) {
+				t.Fatalf("caller %d: err = %v, want context.Canceled", i, err)
+			}
+		}
+		if st := c.Stats(); st.Entries != 1 {
+			t.Fatalf("entries = %d with one caller still waiting, want the run kept", st.Entries)
+		}
+		// The last caller leaves: the run is cancelled and unlinked at once.
+		ctxs[callers-1]()
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("last caller: err = %v, want context.Canceled", err)
+		}
+		if st := c.Stats(); st.Entries != 0 {
+			t.Fatalf("entries = %d after every caller left, want the abandoned run dropped", st.Entries)
+		}
+		// A fresh request recomputes (a miss) rather than joining the
+		// abandoned run, and succeeds.
+		res, err := c.Analyze(w.Name, w.Source, Options{})
+		if err != nil || res == nil {
+			t.Fatalf("retry after cancellation: %v", err)
+		}
+		if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
+			t.Fatalf("stats after retry = %+v, want 2 misses and 1 entry", st)
+		}
+	})
+}
+
+// TestCachePanicReachesEveryWaiter: a panic inside the shared run is
+// re-raised in each waiting caller (so the server's recovery middleware sees
+// it), and the crashed entry is dropped rather than left in flight forever.
+func TestCachePanicReachesEveryWaiter(t *testing.T) {
+	w := workloads.All()[0]
+	c := NewCache()
 	started := make(chan struct{})
+	release := make(chan struct{})
 	var gateOnce sync.Once
-	ctx, cancel := context.WithCancel(context.Background())
-	// Workers: 1 makes abandonment deterministic: the sequential path
-	// re-checks ctx before every component, so the wave after the gated one
-	// always observes the cancellation.
 	opt := Options{Workers: 1, onProc: func(wave int, proc string) {
 		gateOnce.Do(func() { close(started) })
-		<-ctx.Done() // hold the run until cancellation
+		<-release
+		panic("boom")
 	}}
-
-	const waiters = 4
-	errs := make(chan error, waiters+1)
-	go func() {
-		_, err := c.AnalyzeCtx(ctx, w.Name, w.Source, opt)
-		errs <- err
-	}()
-	<-started
-	for i := 0; i < waiters; i++ {
-		go func() {
-			_, err := c.AnalyzeCtx(context.Background(), w.Name, w.Source, Options{})
-			errs <- err
-		}()
+	call := func(o Options) (rec any) {
+		defer func() { rec = recover() }()
+		c.AnalyzeCtx(context.Background(), w.Name, w.Source, o)
+		return nil
 	}
-	// Every waiter registers on the in-flight entry as a cache hit; wait for
-	// all of them before cancelling, or a late waiter would find the removed
-	// entry and recompute fresh (succeeding with its own context).
-	for c.Stats().Hits < waiters {
+	recs := make(chan any, 2)
+	go func() { recs <- call(opt) }()
+	<-started
+	go func() { recs <- call(Options{}) }()
+	for c.Stats().Hits < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	cancel()
-	for i := 0; i < waiters+1; i++ {
-		if err := <-errs; !errors.Is(err, context.Canceled) {
-			t.Fatalf("waiter %d: err = %v, want context.Canceled", i, err)
+	close(release)
+	for i := 0; i < 2; i++ {
+		if r := <-recs; r == nil {
+			t.Fatalf("caller %d returned normally; want the analysis panic re-raised", i)
 		}
 	}
-
-	// The cancelled entry must be gone: a fresh request succeeds.
-	res, err := c.Analyze(w.Name, w.Source, Options{})
-	if err != nil || res == nil {
-		t.Fatalf("retry after cancellation: %v", err)
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("entries = %d after a panicked run, want it dropped", st.Entries)
 	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d after retry, want 1", st.Entries)
+	if res, err := c.Analyze(w.Name, w.Source, Options{}); err != nil || res == nil {
+		t.Fatalf("retry after panic: %v", err)
 	}
 }
 

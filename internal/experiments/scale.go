@@ -29,12 +29,16 @@ type ScalePoint struct {
 	Procs int    `json:"procs"`
 	Loops int    `json:"loops"`
 
-	GenMs         float64 `json:"gen_ms"`
-	ParseMs       float64 `json:"parse_ms"`
-	AnalyzeMs     float64 `json:"analyze_ms"`
-	ParallelizeMs float64 `json:"parallelize_ms"`
-	IncrementalMs float64 `json:"incremental_ms"`
-	ExecMs        float64 `json:"exec_ms"`
+	GenMs     float64 `json:"gen_ms"`
+	ParseMs   float64 `json:"parse_ms"`
+	AnalyzeMs float64 `json:"analyze_ms"`
+	// DriverAnalyzeMs times the same analysis through driver.Analyze with
+	// its default worker pool — the path suifxd runs — next to AnalyzeMs's
+	// sequential summary.Analyze.
+	DriverAnalyzeMs float64 `json:"driver_analyze_ms"`
+	ParallelizeMs   float64 `json:"parallelize_ms"`
+	IncrementalMs   float64 `json:"incremental_ms"`
+	ExecMs          float64 `json:"exec_ms"`
 
 	ExecOps      int64 `json:"exec_ops"`
 	ChosenLoops  int   `json:"chosen_loops"`
@@ -65,6 +69,10 @@ func ScaleRun(tier corpus.Tier) (*ScalePoint, error) {
 	t0 = time.Now()
 	sum := summary.Analyze(prog)
 	pt.AnalyzeMs = durMs(time.Since(t0))
+
+	t0 = time.Now()
+	driver.Analyze(prog, driver.Options{})
+	pt.DriverAnalyzeMs = durMs(time.Since(t0))
 
 	t0 = time.Now()
 	res := parallel.ParallelizeWith(sum, parallel.Config{UseReductions: true})

@@ -10,16 +10,25 @@ package lin
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 )
 
 // Expr is an affine expression: a sum of integer-coefficient terms over named
 // variables plus an integer constant. The zero value is the constant 0.
+//
+// The terms are a slice sorted by variable name (byte order) holding no zero
+// coefficient, so every affine function has exactly one representation. An
+// Expr is immutable once built: every operation returns a fresh term slice
+// or shares an operand's unchanged one, never writing into an existing slice.
+// Sharing terms between values (and between goroutines) is therefore safe.
 type Expr struct {
-	Coef  map[string]int64
+	terms []term
 	Const int64
+}
+
+type term struct {
+	v string
+	c int64
 }
 
 // NewExpr returns the affine expression with the given constant term.
@@ -33,84 +42,66 @@ func Term(v string, c int64) Expr {
 	if c == 0 {
 		return Expr{}
 	}
-	return Expr{Coef: map[string]int64{v: c}}
+	return Expr{terms: []term{{v, c}}}
 }
 
-// Clone returns a deep copy of e.
-func (e Expr) Clone() Expr {
-	out := Expr{Const: e.Const}
-	if len(e.Coef) > 0 {
-		out.Coef = make(map[string]int64, len(e.Coef))
-		for v, c := range e.Coef {
-			out.Coef[v] = c
-		}
-	}
-	return out
-}
+// Clone returns a copy of e. Exprs are immutable, so the copy shares e's
+// terms; Clone exists for callers that want to say "an independent value".
+func (e Expr) Clone() Expr { return e }
 
 // CoefOf returns the coefficient of variable v (0 if absent).
-func (e Expr) CoefOf(v string) int64 { return e.Coef[v] }
-
-// Add returns e + o.
-func (e Expr) Add(o Expr) Expr {
-	out := e.Clone()
-	out.Const += o.Const
-	for v, c := range o.Coef {
-		out.addTerm(v, c)
+func (e Expr) CoefOf(v string) int64 {
+	lo, hi := 0, len(e.terms)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		switch tv := e.terms[m].v; {
+		case tv == v:
+			return e.terms[m].c
+		case tv < v:
+			lo = m + 1
+		default:
+			hi = m
+		}
 	}
-	return out
+	return 0
 }
 
+// Add returns e + o.
+func (e Expr) Add(o Expr) Expr { return linComb(1, e, 1, o) }
+
 // Sub returns e - o.
-func (e Expr) Sub(o Expr) Expr { return e.Add(o.Scale(-1)) }
+func (e Expr) Sub(o Expr) Expr { return linComb(1, e, -1, o) }
 
 // Scale returns k*e.
 func (e Expr) Scale(k int64) Expr {
-	if k == 0 {
+	switch k {
+	case 0:
 		return Expr{}
+	case 1:
+		return e
 	}
 	out := Expr{Const: e.Const * k}
-	if len(e.Coef) > 0 {
-		out.Coef = make(map[string]int64, len(e.Coef))
-		for v, c := range e.Coef {
-			out.Coef[v] = c * k
+	if len(e.terms) > 0 {
+		out.terms = make([]term, 0, len(e.terms))
+		for _, t := range e.terms {
+			out.terms = appendTerm(out.terms, t.v, t.c*k)
 		}
 	}
 	return out
 }
 
 // AddConst returns e + k.
-func (e Expr) AddConst(k int64) Expr {
-	out := e.Clone()
-	out.Const += k
-	return out
-}
-
-func (e *Expr) addTerm(v string, c int64) {
-	if c == 0 {
-		return
-	}
-	if e.Coef == nil {
-		e.Coef = make(map[string]int64)
-	}
-	n := e.Coef[v] + c
-	if n == 0 {
-		delete(e.Coef, v)
-	} else {
-		e.Coef[v] = n
-	}
-}
+func (e Expr) AddConst(k int64) Expr { return Expr{terms: e.terms, Const: e.Const + k} }
 
 // IsConst reports whether e has no variable terms.
-func (e Expr) IsConst() bool { return len(e.Coef) == 0 }
+func (e Expr) IsConst() bool { return len(e.terms) == 0 }
 
 // Vars returns the variables of e in sorted order.
 func (e Expr) Vars() []string {
-	vs := make([]string, 0, len(e.Coef))
-	for v := range e.Coef {
-		vs = append(vs, v)
+	vs := make([]string, len(e.terms))
+	for i, t := range e.terms {
+		vs[i] = t.v
 	}
-	sort.Strings(vs)
 	return vs
 }
 
@@ -118,46 +109,44 @@ func (e Expr) Vars() []string {
 // error so callers never silently treat a symbolic value as zero.
 func (e Expr) Eval(env map[string]int64) (int64, error) {
 	sum := e.Const
-	for v, c := range e.Coef {
-		val, ok := env[v]
+	for _, t := range e.terms {
+		val, ok := env[t.v]
 		if !ok {
-			return 0, fmt.Errorf("lin: unbound variable %q", v)
+			return 0, fmt.Errorf("lin: unbound variable %q", t.v)
 		}
-		sum += c * val
+		sum += t.c * val
 	}
 	return sum, nil
 }
 
 // Substitute returns e with every occurrence of v replaced by repl.
 func (e Expr) Substitute(v string, repl Expr) Expr {
-	c, ok := e.Coef[v]
-	if !ok {
-		return e.Clone()
+	c := e.CoefOf(v)
+	if c == 0 {
+		return e
 	}
-	out := e.Clone()
-	delete(out.Coef, v)
-	return out.Add(repl.Scale(c))
+	return linComb(1, e, c, repl.Sub(Var(v))) // e + c*(repl - v)
 }
 
 // Rename returns e with variable old renamed to new.
 func (e Expr) Rename(old, new string) Expr {
-	c, ok := e.Coef[old]
-	if !ok {
-		return e.Clone()
+	c := e.CoefOf(old)
+	if c == 0 || old == new {
+		return e
 	}
-	out := e.Clone()
-	delete(out.Coef, old)
-	out.addTerm(new, c)
-	return out
+	return linComb(1, e, c, Var(new).Sub(Var(old)))
 }
 
 // Equal reports whether e and o denote the same affine function.
-func (e Expr) Equal(o Expr) bool {
-	if e.Const != o.Const || len(e.Coef) != len(o.Coef) {
+func (e Expr) Equal(o Expr) bool { return e.Const == o.Const && sameCoefs(e, o) }
+
+// sameCoefs reports whether a and b have identical variable terms.
+func sameCoefs(a, b Expr) bool {
+	if len(a.terms) != len(b.terms) {
 		return false
 	}
-	for v, c := range e.Coef {
-		if o.Coef[v] != c {
+	for i, t := range a.terms {
+		if b.terms[i] != t {
 			return false
 		}
 	}
@@ -167,9 +156,9 @@ func (e Expr) Equal(o Expr) bool {
 // String renders e deterministically, e.g. "2*i - j + 3".
 func (e Expr) String() string {
 	var b strings.Builder
-	first := true
-	for _, v := range e.Vars() {
-		c := e.Coef[v]
+	for i, t := range e.terms {
+		v, c := t.v, t.c
+		first := i == 0
 		switch {
 		case first && c == 1:
 			b.WriteString(v)
@@ -186,10 +175,9 @@ func (e Expr) String() string {
 		default:
 			fmt.Fprintf(&b, " - %d*%s", -c, v)
 		}
-		first = false
 	}
 	switch {
-	case first:
+	case len(e.terms) == 0:
 		fmt.Fprintf(&b, "%d", e.Const)
 	case e.Const > 0:
 		fmt.Fprintf(&b, " + %d", e.Const)
@@ -199,39 +187,55 @@ func (e Expr) String() string {
 	return b.String()
 }
 
-// key renders a canonical byte form of e, cheaper than String, for use as a
-// dedup map key. Same affine function ⇔ same key.
-func (e Expr) key() string {
-	b := make([]byte, 0, 16+12*len(e.Coef))
-	b = strconv.AppendInt(b, e.Const, 10)
-	for _, v := range e.Vars() {
-		b = append(b, '|')
-		b = append(b, v...)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, e.Coef[v], 10)
-	}
-	return string(b)
+// linComb returns ka*a + kb*b as one sorted merge of the two term slices
+// with a single allocation.
+func linComb(ka int64, a Expr, kb int64, b Expr) Expr {
+	out, _ := linCombInto(make([]term, 0, len(a.terms)+len(b.terms)), ka, a, kb, b)
+	return out
 }
 
-// linComb returns ka*a + kb*b with a single map allocation — the inner-loop
-// combination step of Fourier–Motzkin elimination.
-func linComb(ka int64, a Expr, kb int64, b Expr) Expr {
-	out := Expr{
-		Const: ka*a.Const + kb*b.Const,
-		Coef:  make(map[string]int64, len(a.Coef)+len(b.Coef)),
-	}
-	for v, c := range a.Coef {
-		out.Coef[v] = ka * c
-	}
-	for v, c := range b.Coef {
-		n := out.Coef[v] + kb*c
-		if n == 0 {
-			delete(out.Coef, v)
-		} else {
-			out.Coef[v] = n
+// linCombInto is linComb with the merged terms appended to block, which is
+// returned grown; the result's terms are capacity-capped so no append
+// through it can reach the block's later entries. This is the inner-loop
+// combination step of Fourier–Motzkin elimination, where the eliminated
+// variable cancels.
+func linCombInto(block []term, ka int64, a Expr, kb int64, b Expr) (Expr, []term) {
+	start := len(block)
+	ts := block
+	i, j := 0, 0
+	for i < len(a.terms) && j < len(b.terms) {
+		ta, tb := a.terms[i], b.terms[j]
+		switch {
+		case ta.v < tb.v:
+			ts = appendTerm(ts, ta.v, ka*ta.c)
+			i++
+		case ta.v > tb.v:
+			ts = appendTerm(ts, tb.v, kb*tb.c)
+			j++
+		default:
+			ts = appendTerm(ts, ta.v, ka*ta.c+kb*tb.c)
+			i++
+			j++
 		}
 	}
-	return out
+	for ; i < len(a.terms); i++ {
+		ts = appendTerm(ts, a.terms[i].v, ka*a.terms[i].c)
+	}
+	for ; j < len(b.terms); j++ {
+		ts = appendTerm(ts, b.terms[j].v, kb*b.terms[j].c)
+	}
+	out := Expr{Const: ka*a.Const + kb*b.Const}
+	if len(ts) > start {
+		out.terms = ts[start:len(ts):len(ts)]
+	}
+	return out, ts
+}
+
+func appendTerm(ts []term, v string, c int64) []term {
+	if c == 0 {
+		return ts
+	}
+	return append(ts, term{v, c})
 }
 
 func gcd64(a, b int64) int64 {

@@ -1,6 +1,7 @@
 package lin
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -18,24 +19,38 @@ func (c Constraint) String() string { return c.E.String() + " >= 0" }
 // the constant term toward the feasible side (integer reasoning: a*x >= -b
 // with gcd g on a implies g*(x') >= -b, i.e. x' >= ceil(-b/g)).
 func (c Constraint) normalize() Constraint {
-	if len(c.E.Coef) == 0 {
+	if c.E.coefGCD() <= 1 {
 		return c
 	}
+	out := Expr{terms: append([]term(nil), c.E.terms...), Const: c.E.Const}
+	out.tighten()
+	return Constraint{out}
+}
+
+// coefGCD returns the GCD of e's coefficients (0 for a constant).
+func (e Expr) coefGCD() int64 {
 	var g int64
-	for _, co := range c.E.Coef {
-		g = gcd64(g, co)
+	for _, t := range e.terms {
+		if g = gcd64(g, t.c); g == 1 {
+			break
+		}
 	}
+	return g
+}
+
+// tighten divides e >= 0 by its coefficients' GCD in place. Only for an
+// Expr whose terms no other value shares yet.
+func (e *Expr) tighten() {
+	g := e.coefGCD()
 	if g <= 1 {
-		return c
+		return
 	}
-	out := Expr{Coef: make(map[string]int64, len(c.E.Coef))}
-	for v, co := range c.E.Coef {
-		out.Coef[v] = co / g
+	for i := range e.terms {
+		e.terms[i].c /= g
 	}
 	// e >= 0  ==  sum + Const >= 0  ==  sum >= -Const; divide by g and
 	// round the bound up: sum/g >= ceil(-Const/g), so Const' = floor(Const/g).
-	out.Const = floorDiv(c.E.Const, g)
-	return Constraint{out}
+	e.Const = floorDiv(e.Const, g)
 }
 
 func floorDiv(a, b int64) int64 {
@@ -73,9 +88,9 @@ const (
 func NewSystem() *System { return &System{} }
 
 // Clone returns an independent copy of s: the constraint slice is fresh, the
-// constraint expressions are shared. Exprs are immutable once built (every
-// Expr operation allocates), so sharing them is indistinguishable from a deep
-// copy. The emptiness cache carries over — the clone has the identical
+// constraint expressions are shared. Exprs are immutable once built (no
+// Expr operation writes into existing terms), so sharing them is
+// indistinguishable from a deep copy. The emptiness cache carries over — the clone has the identical
 // constraint set.
 func (s *System) Clone() *System {
 	out := &System{Cons: make([]Constraint, len(s.Cons))}
@@ -105,19 +120,21 @@ func (s *System) AddRange(v string, lo, hi Expr) *System {
 }
 
 // Vars returns all variables mentioned in s, sorted.
-func (s *System) Vars() []string {
-	set := map[string]bool{}
-	for _, c := range s.Cons {
-		for v := range c.E.Coef {
-			set[v] = true
+func (s *System) Vars() []string { return consVars(s.Cons) }
+
+func consVars(cons []Constraint) []string {
+	n := 0
+	for _, c := range cons {
+		n += len(c.E.terms)
+	}
+	vs := make([]string, 0, n)
+	for _, c := range cons {
+		for _, t := range c.E.terms {
+			vs = append(vs, t.v)
 		}
 	}
-	vs := make([]string, 0, len(set))
-	for v := range set {
-		vs = append(vs, v)
-	}
 	sort.Strings(vs)
-	return vs
+	return slices.Compact(vs)
 }
 
 // Intersect returns the conjunction of s and o.
@@ -161,31 +178,54 @@ func (s *System) ContainsPoint(env map[string]int64) bool {
 // Eliminate removes variable v by Fourier–Motzkin elimination, producing a
 // system over the remaining variables whose rational solution set is the
 // projection of s. This is the paper's closure operator building block.
-func (s *System) Eliminate(v string) *System {
-	var lower, upper, rest []Constraint
-	for _, c := range s.Cons {
+func (s *System) Eliminate(v string) *System { return &System{Cons: eliminate(s.Cons, v)} }
+
+// eliminate is Eliminate on a constraint list, returning a fresh list. The
+// combined constraints' terms are carved from one shared, capacity-capped
+// block: they are never appended to, so sharing the block is invisible.
+func eliminate(in []Constraint, v string) []Constraint {
+	var nl, nu, lterms, uterms int
+	for _, c := range in {
 		switch co := c.E.CoefOf(v); {
 		case co > 0:
-			lower = append(lower, c) // co*v + r >= 0  =>  v >= -r/co
+			nl++
+			lterms += len(c.E.terms)
 		case co < 0:
-			upper = append(upper, c) // co*v + r >= 0  =>  v <= r/(-co)
-		default:
-			rest = append(rest, c)
+			nu++
+			uterms += len(c.E.terms)
 		}
 	}
-	out := &System{Cons: rest}
-	for _, lo := range lower {
+	cons := make([]Constraint, 0, len(in)-nl-nu+nl*nu)
+	bounds := make([]Constraint, nl+nu) // lower bounds, then upper bounds
+	li, ui := 0, nl
+	for _, c := range in {
+		switch co := c.E.CoefOf(v); {
+		case co > 0:
+			bounds[li] = c // co*v + r >= 0  =>  v >= -r/co
+			li++
+		case co < 0:
+			bounds[ui] = c // co*v + r >= 0  =>  v <= r/(-co)
+			ui++
+		default:
+			cons = append(cons, c)
+		}
+	}
+	// Each combination has at most the terms of its two parents.
+	block := make([]term, 0, nu*lterms+nl*uterms)
+	for _, lo := range bounds[:nl] {
 		a := lo.E.CoefOf(v)
-		for _, up := range upper {
+		for _, up := range bounds[nl:] {
 			b := -up.E.CoefOf(v)
 			// b*(a*v + rl) + a*(-b*v + ru') combination removes v:
-			// b*lo + a*up >= 0.
-			comb := linComb(b, lo.E, a, up.E)
-			delete(comb.Coef, v)
-			out.Cons = append(out.Cons, Constraint{comb}.normalize())
+			// b*lo + a*up >= 0. v cancels in the merge; the result owns its
+			// slice of the block, so it is tightened in place.
+			var comb Expr
+			comb, block = linCombInto(block, b, lo.E, a, up.E)
+			comb.tighten()
+			cons = append(cons, Constraint{comb})
 		}
 	}
-	return out.simplify()
+	return simplified(cons[:0], cons)
 }
 
 // Project eliminates every variable not in keep, projecting the polyhedron
@@ -229,21 +269,18 @@ func (s *System) IsEmpty() bool {
 }
 
 func (s *System) isEmptySlow() bool {
-	cur := s.simplify()
-	if cur == nil {
-		return true
-	}
-	for _, v := range cur.Vars() {
-		cur = cur.Eliminate(v)
-		if cur.hasContradiction() {
+	cur := s.simplify().Cons
+	for _, v := range consVars(cur) {
+		cur = eliminate(cur, v)
+		if hasContradiction(cur) {
 			return true
 		}
 	}
-	return cur.hasContradiction()
+	return hasContradiction(cur)
 }
 
-func (s *System) hasContradiction() bool {
-	for _, c := range s.Cons {
+func hasContradiction(cons []Constraint) bool {
+	for _, c := range cons {
 		if c.E.IsConst() && c.E.Const < 0 {
 			return true
 		}
@@ -251,28 +288,39 @@ func (s *System) hasContradiction() bool {
 	return false
 }
 
-// simplify drops trivially-true constraints and duplicate constraints, and
-// returns nil if a constant contradiction is present. A nil receiver stays nil.
+// simplify drops trivially-true constraints and duplicate constraints
+// (keeping the first occurrence), and returns the one-constraint system
+// {-1 >= 0} if a constant contradiction is present. A nil receiver stays nil.
 func (s *System) simplify() *System {
 	if s == nil {
 		return nil
 	}
-	seen := map[string]bool{}
-	out := &System{}
-	for _, c := range s.Cons {
+	return &System{Cons: simplified(make([]Constraint, 0, len(s.Cons)), s.Cons)}
+}
+
+// simplified appends the constraints of cons that simplify keeps to dst and
+// returns the result. dst may be cons[:0]: the write index never passes the
+// read index, so a freshly built list is compacted in place. Duplicates are
+// found by scanning the kept constraints with Equal, which rejects most
+// candidates on the constant or the term count; the lists are short (almost
+// all under 16 constraints on corpus programs), so a scan beats a map.
+func simplified(dst, cons []Constraint) []Constraint {
+next:
+	for _, c := range cons {
 		if c.E.IsConst() {
 			if c.E.Const < 0 {
-				return &System{Cons: []Constraint{{NewExpr(-1)}}}
+				return []Constraint{{NewExpr(-1)}}
 			}
 			continue
 		}
-		k := c.E.key()
-		if !seen[k] {
-			seen[k] = true
-			out.Cons = append(out.Cons, c)
+		for _, k := range dst {
+			if k.E.Equal(c.E) {
+				continue next
+			}
 		}
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }
 
 // Implies reports whether every rational point of s satisfies c, tested by
@@ -291,18 +339,6 @@ func (s *System) Implies(c Constraint) bool {
 	// ¬(e >= 0) over integers is e <= -1, i.e. -e - 1 >= 0.
 	neg.AddGE(c.E.Scale(-1).AddConst(-1))
 	return neg.IsEmpty()
-}
-
-func sameCoefs(a, b Expr) bool {
-	if len(a.Coef) != len(b.Coef) {
-		return false
-	}
-	for v, c := range a.Coef {
-		if b.Coef[v] != c {
-			return false
-		}
-	}
-	return true
 }
 
 // ContainedIn reports whether s ⊆ o (conservatively: true is definite).

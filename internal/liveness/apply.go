@@ -193,10 +193,6 @@ func footprintElems(acc *summary.Access, idx string, sym *ir.Symbol) int64 {
 // invariants or per-iteration unknowns — anything but another dimension).
 func dimPinned(p *lin.System, d int, idx string) bool {
 	dv := lin.DimVar(d)
-	have := map[string]bool{}
-	for _, c := range p.Cons {
-		have[c.E.String()] = true
-	}
 	for _, c := range p.Cons {
 		co := c.E.CoefOf(dv)
 		if co != 1 && co != -1 {
@@ -212,7 +208,17 @@ func dimPinned(p *lin.System, d int, idx string) bool {
 		if otherDims {
 			continue
 		}
-		if have[c.E.Scale(-1).String()] {
+		if hasCons(p, c.E.Scale(-1)) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasCons reports whether p holds the constraint e >= 0.
+func hasCons(p *lin.System, e lin.Expr) bool {
+	for _, c := range p.Cons {
+		if c.E.Equal(e) {
 			return true
 		}
 	}

@@ -154,7 +154,7 @@ func (ev *Evaluator) Affine(e ir.Expr) (out lin.Expr, ok, variant bool) {
 }
 
 func exprHasVariant(e lin.Expr) bool {
-	for v := range e.Coef {
+	for _, v := range e.Vars() {
 		if IsVariantVar(v) {
 			return true
 		}
