@@ -184,8 +184,8 @@ func derive(rep *Report) {
 		}
 	}
 	// ParallelEngine/<app>/<N>w sub-benchmarks (BENCH_parallel.json): copy
-	// each run's virtual-time speedup up into the derived block and record
-	// the wall-clock ratio against the same app's 1-worker run.
+	// each run's virtual-time and wall-clock speedups (both against the
+	// app's sequential run) up into the derived block.
 	for _, bm := range rep.Benchmarks {
 		app, n, ok := parseParallelName(bm.Name)
 		if !ok {
@@ -194,11 +194,10 @@ func derive(rep *Report) {
 		if rep.Derived == nil {
 			rep.Derived = map[string]float64{}
 		}
-		if v, ok := bm.Metrics["vt_speedup"]; ok {
-			rep.Derived[app+"_vt_speedup_"+n+"w"] = round2(v)
-		}
-		if base, ok := byName["ParallelEngine/"+app+"/1w"]; ok && bm.NsPerOp > 0 {
-			rep.Derived[app+"_wall_ratio_"+n+"w"] = round2(base.NsPerOp / bm.NsPerOp)
+		for _, m := range []string{"vt_speedup", "wall_speedup"} {
+			if v, ok := bm.Metrics[m]; ok {
+				rep.Derived[app+"_"+m+"_"+n+"w"] = round2(v)
+			}
 		}
 	}
 

@@ -591,7 +591,7 @@ type Counters struct {
 	TreeRuns         int64 `json:"tree_runs"`
 
 	// Parallel engine: planned-loop invocations executed (either engine)
-	// and worker goroutines spawned for them.
+	// and the schedule positions dispatched for them.
 	ParallelLoopRuns int64 `json:"parallel_loop_runs"`
 	ParallelWorkers  int64 `json:"parallel_workers"`
 

@@ -164,7 +164,10 @@ type Interp struct {
 	// privCommon overrides common-member storage in worker clones, so
 	// privatized common variables stay private across call boundaries.
 	privCommon map[string]map[int64]int64
-	inParallel bool
+	// pool holds the run's helper goroutines while a planned Run is in
+	// progress (started on the first parallel dispatch, stopped when Run
+	// returns).
+	pool *helperPool
 	// planRT caches the per-worker bytecode views compiled for the plan
 	// (built lazily on the first bytecode run).
 	planRT *planRT
@@ -242,6 +245,7 @@ func (in *Interp) Run() error {
 	if main == nil {
 		return fmt.Errorf("exec: no main program")
 	}
+	defer in.stopHelpers()
 	if in.useBytecode() {
 		return in.runBytecode()
 	}
@@ -418,6 +422,7 @@ func (in *Interp) runBytecode() error {
 // RunProc invokes one subroutine with pre-bound argument refs (used by the
 // parallel runtime).
 func (in *Interp) RunProc(p *ir.Proc, refs map[*ir.Symbol]Ref) error {
+	defer in.stopHelpers()
 	f := &frame{proc: p, refs: refs}
 	_, err := in.execStmts(f, p.Body)
 	return err

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"runtime/debug"
 	"sort"
 	"sync"
 
@@ -80,45 +82,60 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 		}
 		return loops[i].Index.Name < loops[j].Index.Name
 	})
+	// Each worker's banks are contiguous and padded to whole 64-byte lines,
+	// so workers updating their private scalars (loop indices, privatized
+	// temporaries, accumulators) do not write to a line another worker
+	// writes: interleaving the banks symbol by symbol made that false
+	// sharing cost more than the second worker gained.
+	alloc := func(n int64) int64 {
+		base := int64(len(in.arena))
+		in.arena = append(in.arena, make([]float64, n)...)
+		return base
+	}
+	padLine := func() {
+		for len(in.arena)%lineCells != 0 {
+			in.arena = append(in.arena, 0)
+		}
+	}
+	padLine()
 	for _, l := range loops {
 		lp := plan.Loops[l]
-		m := map[*ir.Symbol][]int64{}
-		in.workerBase[l] = m
-		alloc := func(sym *ir.Symbol) {
-			bases := make([]int64, plan.Workers)
-			for w := 0; w < plan.Workers; w++ {
-				bases[w] = int64(len(in.arena))
-				in.arena = append(in.arena, make([]float64, sym.NElems())...)
-			}
-			m[sym] = bases
-		}
-		alloc(l.Index)
+		banked := []*ir.Symbol{l.Index}
 		for _, s := range lp.Private {
 			if s != l.Index {
-				alloc(s)
+				banked = append(banked, s)
 			}
 		}
 		for _, r := range lp.Reductions {
-			alloc(r.Sym)
+			banked = append(banked, r.Sym)
 		}
 		// Every local of every procedure reachable from the loop body gets
 		// per-worker storage: Fortran locals live on each processor's stack
 		// in the SPMD runtime, and sharing the static copies would race.
-		perWorker := make([]map[*ir.Symbol]int64, plan.Workers)
-		for w := range perWorker {
-			perWorker[w] = map[*ir.Symbol]int64{}
-		}
+		var locals []*ir.Symbol
 		for _, proc := range reachableProcs(prog, l) {
 			for _, sym := range proc.SortedSyms() {
-				if sym.Common != "" || sym.IsParam {
-					continue
-				}
-				for w := 0; w < plan.Workers; w++ {
-					perWorker[w][sym] = int64(len(in.arena))
-					in.arena = append(in.arena, make([]float64, sym.NElems())...)
+				if sym.Common == "" && !sym.IsParam {
+					locals = append(locals, sym)
 				}
 			}
 		}
+		m := map[*ir.Symbol][]int64{}
+		for _, sym := range banked {
+			m[sym] = make([]int64, plan.Workers)
+		}
+		perWorker := make([]map[*ir.Symbol]int64, plan.Workers)
+		for w := range perWorker {
+			for _, sym := range banked {
+				m[sym][w] = alloc(sym.NElems())
+			}
+			perWorker[w] = map[*ir.Symbol]int64{}
+			for _, sym := range locals {
+				perWorker[w][sym] = alloc(sym.NElems())
+			}
+			padLine()
+		}
+		in.workerBase[l] = m
 		in.workerLocals[l] = perWorker
 	}
 	// One private scratch block per worker, shared across planned loops
@@ -127,11 +144,14 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 	// spills from different workers would collide in the main scratch.
 	in.workerTemp = make([]int64, plan.Workers)
 	for w := range in.workerTemp {
-		in.workerTemp[w] = int64(len(in.arena))
-		in.arena = append(in.arena, make([]float64, tempCells)...)
+		in.workerTemp[w] = alloc(tempCells)
+		padLine()
 	}
 	return in
 }
+
+// lineCells is the number of arena cells in a 64-byte cache line.
+const lineCells = 8
 
 // reachableProcs returns the procedures called (transitively) from a loop's
 // body.
@@ -196,9 +216,9 @@ func combine(op string, a, b float64) float64 {
 // worker keeps the original storage as its private copy (§5.4), so the
 // position executing the globally last iteration — which the schedule
 // determines — must always be that worker; every other position uses its
-// own bank.
-func planWorkerIDs(planWorkers, workers, lastPos int) []int {
-	ids := make([]int, workers)
+// own bank. ids has one slot per position and is filled in place.
+func planWorkerIDs(ids []int, planWorkers, lastPos int) []int {
+	workers := len(ids)
 	for p := range ids {
 		ids[p] = p
 	}
@@ -219,73 +239,67 @@ func (in *Interp) execParallelLoop(f *frame, l *ir.DoLoop, lp *LoopPlan, lo, hi,
 	}
 	counters.parallelLoopRuns.Add(1)
 	counters.parallelWorkers.Add(int64(workers))
-	ids := planWorkerIDs(in.plan.Workers, workers, lastPosition(lp.Schedule, trips, workers))
+	ids := planWorkerIDs(make([]int, workers), in.plan.Workers, lastPosition(lp.Schedule, trips, workers))
 	bases := in.workerBase[l]
-	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	wops := make([]int64, workers)
 
 	// Iterations are assigned to positions by the plan's schedule (§4.5):
 	// even contiguous chunks, cyclic interleaving, or guided shrinking
 	// chunks — forEachAssigned is the single source of truth.
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			id := ids[p]
-			wi := in.workerClone(l, id)
-			wf := &frame{proc: f.proc, refs: map[*ir.Symbol]Ref{}}
-			for s, r := range f.refs {
-				wf.refs[s] = r
-			}
-			// Rebind privates and reduction accumulators to worker storage.
-			// Common-block members are overridden globally for this worker so
-			// callees reach the private copy too. The LAST worker keeps the
-			// original storage as its private copy (§5.4): since approved
-			// privates write the identical region every iteration, the shared
-			// array ends up exactly as a sequential run leaves it — including
-			// elements the loop never writes.
-			lastWorker := id == in.plan.Workers-1
-			bind := func(sym *ir.Symbol, init bool, op string) {
-				base := bases[sym][id]
-				wf.refs[sym] = Ref{Base: base, Dims: sym.Dims}
-				if sym.Common != "" {
-					if wi.privCommon == nil {
-						wi.privCommon = map[string]map[int64]int64{}
-					}
-					if wi.privCommon[sym.Common] == nil {
-						wi.privCommon[sym.Common] = map[int64]int64{}
-					}
-					wi.privCommon[sym.Common][sym.CommonOffset] = base
+	in.helpers().run(workers, func(p int) {
+		id := ids[p]
+		wi := in.workerClone(l, id)
+		wf := &frame{proc: f.proc, refs: map[*ir.Symbol]Ref{}}
+		for s, r := range f.refs {
+			wf.refs[s] = r
+		}
+		// Rebind privates and reduction accumulators to worker storage.
+		// Common-block members are overridden globally for this worker so
+		// callees reach the private copy too. The LAST worker keeps the
+		// original storage as its private copy (§5.4): since approved
+		// privates write the identical region every iteration, the shared
+		// array ends up exactly as a sequential run leaves it — including
+		// elements the loop never writes.
+		lastWorker := id == in.plan.Workers-1
+		bind := func(sym *ir.Symbol, init bool, op string) {
+			base := bases[sym][id]
+			wf.refs[sym] = Ref{Base: base, Dims: sym.Dims}
+			if sym.Common != "" {
+				if wi.privCommon == nil {
+					wi.privCommon = map[string]map[int64]int64{}
 				}
-				if init {
-					for k := int64(0); k < sym.NElems(); k++ {
-						wi.arena[base+k] = identity(op)
-					}
+				if wi.privCommon[sym.Common] == nil {
+					wi.privCommon[sym.Common] = map[int64]int64{}
+				}
+				wi.privCommon[sym.Common][sym.CommonOffset] = base
+			}
+			if init {
+				for k := int64(0); k < sym.NElems(); k++ {
+					wi.arena[base+k] = identity(op)
 				}
 			}
-			bind(l.Index, false, "")
-			for _, s := range lp.Private {
-				if s != l.Index && !lastWorker {
-					bind(s, false, "")
-				}
+		}
+		bind(l.Index, false, "")
+		for _, s := range lp.Private {
+			if s != l.Index && !lastWorker {
+				bind(s, false, "")
 			}
-			for _, r := range lp.Reductions {
-				bind(r.Sym, true, r.Op)
-			}
-			idx := wi.refOf(wf, l.Index)
-			if err := forEachAssigned(lp.Schedule, trips, workers, p, func(it int64) error {
-				wi.arena[idx.Base] = lo + float64(it)*step
-				_, err := wi.execStmts(wf, l.Body)
-				return err
-			}); err != nil {
-				errs[p] = err
-				return
-			}
-			wops[p] = wi.ops
-		}(p)
-	}
-	wg.Wait()
+		}
+		for _, r := range lp.Reductions {
+			bind(r.Sym, true, r.Op)
+		}
+		idx := wi.refOf(wf, l.Index)
+		if err := forEachAssigned(lp.Schedule, trips, workers, p, func(it int64) error {
+			wi.arena[idx.Base] = lo + float64(it)*step
+			_, err := wi.execStmts(wf, l.Body)
+			return err
+		}); err != nil {
+			errs[p] = err
+			return
+		}
+		wops[p] = wi.ops
+	})
 	for _, o := range wops {
 		in.ops += o
 	}
@@ -322,13 +336,13 @@ func (in *Interp) finalizeParallel(f *frame, l *ir.DoLoop, lp *LoopPlan, workers
 // ascending worker order, so floating-point results are bit-identical run
 // to run and identical between the disciplines:
 //
-//   - single-lock (§6.3.2): one goroutine walks workers 0..W-1 serially —
+//   - single-lock (§6.3.2): the dispatcher walks workers 0..W-1 serially —
 //     the schedule the one-lock protocol serializes to anyway, minus the
 //     lock-arrival lottery that made + and * reductions nondeterministic.
 //   - staggered (§6.3.4): the region is split into chunks and each chunk is
-//     owned by exactly one finalizer goroutine (chunk c to goroutine
-//     c mod W). Ownership replaces locking: chunks proceed concurrently,
-//     but the per-element combine order stays workers 0..W-1.
+//     owned by exactly one finalizer position (chunk c to position c mod W,
+//     run on the run's helpers). Ownership replaces locking: chunks proceed
+//     concurrently, but the per-element combine order stays workers 0..W-1.
 func (in *Interp) mergeReduction(red ReductionPlan, wbases []int64, sharedBase int64, lp *LoopPlan) {
 	workers := len(wbases)
 	n := red.Sym.NElems()
@@ -349,24 +363,18 @@ func (in *Interp) mergeReduction(red ReductionPlan, wbases []int64, sharedBase i
 	}
 	chunks := lp.Chunks
 	per := (n + int64(chunks) - 1) / int64(chunks)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for c := g; c < chunks; c += workers {
-				k0 := int64(c) * per
-				k1 := k0 + per
-				if k1 > n {
-					k1 = n
-				}
-				if k0 < k1 {
-					mergeRange(k0, k1)
-				}
+	in.helpers().run(workers, func(g int) {
+		for c := g; c < chunks; c += workers {
+			k0 := int64(c) * per
+			k1 := k0 + per
+			if k1 > n {
+				k1 = n
 			}
-		}(g)
-	}
-	wg.Wait()
+			if k0 < k1 {
+				mergeRange(k0, k1)
+			}
+		}
+	})
 }
 
 // sharedBase resolves a symbol's shared storage for reduction merging:
@@ -417,11 +425,99 @@ func (in *Interp) workerClone(l *ir.DoLoop, w int) *Interp {
 }
 
 // planFor returns the plan for a loop, if parallel execution is enabled.
+// Worker clones carry no plan, so nested planned loops run sequentially
+// inside a parallel region.
 func (in *Interp) planFor(l *ir.DoLoop) *LoopPlan {
-	if in.plan == nil || in.inParallel {
+	if in.plan == nil {
 		return nil
 	}
 	return in.plan.Loops[l]
+}
+
+// ---------------------------------------------------------------------------
+// Per-run helper goroutines.
+
+// helperPool is one Run's set of long-lived helper goroutines: the SPMD
+// workers of the plan. Every planned-loop invocation (and every staggered
+// reduction merge) hands schedule positions 1..W-1 to the helpers and runs
+// position 0 on the dispatching goroutine. The helpers keep their grown
+// stacks across invocations: a fresh goroutine entering vm.run pays for
+// morestack probes over vm.run's large frame and a stack copy every time.
+type helperPool struct {
+	// wake[h] hands one position to helper h (which runs position h+1);
+	// closing it stops the helper.
+	wake []chan struct{}
+	fn   func(p int)
+	wg   sync.WaitGroup
+	// panics[h] holds a panic recovered on helper h during the current
+	// run call, re-raised on the dispatcher after the join.
+	panics []any
+}
+
+// helpers returns the run's helper pool, starting Workers-1 helpers on the
+// first dispatch. Run stops them when it returns.
+func (in *Interp) helpers() *helperPool {
+	if in.pool != nil {
+		return in.pool
+	}
+	n := in.plan.Workers - 1
+	h := &helperPool{wake: make([]chan struct{}, n), panics: make([]any, n)}
+	for i := range h.wake {
+		h.wake[i] = make(chan struct{}, 1)
+		go h.loop(i)
+	}
+	in.pool = h
+	return h
+}
+
+// stopHelpers ends the run's helpers, if any were started. Helpers are
+// idle between dispatches (every run call joins its positions, also when
+// position 0 panics), so they exit promptly.
+func (in *Interp) stopHelpers() {
+	if in.pool == nil {
+		return
+	}
+	for _, c := range in.pool.wake {
+		close(c)
+	}
+	in.pool = nil
+}
+
+func (h *helperPool) loop(i int) {
+	for range h.wake[i] {
+		h.call(i)
+	}
+}
+
+func (h *helperPool) call(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			h.panics[i] = fmt.Sprintf("exec: parallel position %d: %v\n%s", i+1, r, debug.Stack())
+		}
+		h.wg.Done()
+	}()
+	h.fn(i + 1)
+}
+
+// run executes fn for positions 0..n-1 (n at most Workers) and returns when
+// every position has finished. A panic on a helper is re-raised here.
+func (h *helperPool) run(n int, fn func(p int)) {
+	h.fn = fn
+	h.wg.Add(n - 1)
+	for i := 0; i < n-1; i++ {
+		h.wake[i] <- struct{}{}
+	}
+	func() {
+		defer h.wg.Wait() // join even if position 0 panics
+		fn(0)
+	}()
+	h.fn = nil
+	for i, r := range h.panics[:n-1] {
+		if r != nil {
+			h.panics[i] = nil
+			panic(r)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -434,6 +530,12 @@ func (in *Interp) planFor(l *ir.DoLoop) *LoopPlan {
 type planRT struct {
 	in    *Interp
 	loops map[int32]*vmLoopRT
+	// Per-invocation scratch, one slot per plan worker, reused by every
+	// dispatch (only one planned loop runs at a time).
+	ids  []int
+	errs []error
+	wops []int64
+	wb   []int64
 }
 
 type vmLoopRT struct {
@@ -449,6 +551,10 @@ type workerView struct {
 	cd      *code
 	idxAddr int64
 	inits   []viewInit
+	// vm runs this bank's share of every invocation. It is built once and
+	// reset per invocation (see start), so its stack and frame slices
+	// survive across dispatches.
+	vm *vm
 }
 
 // viewInit is a reduction accumulator to reset to its identity before the
@@ -465,7 +571,11 @@ func (in *Interp) ensurePlanRT(cd *code) *planRT {
 	if in.planRT != nil {
 		return in.planRT
 	}
-	rt := &planRT{in: in, loops: map[int32]*vmLoopRT{}}
+	nw := in.plan.Workers
+	rt := &planRT{
+		in: in, loops: map[int32]*vmLoopRT{},
+		ids: make([]int, nw), errs: make([]error, nw), wops: make([]int64, nw), wb: make([]int64, nw),
+	}
 	for li := range cd.loops {
 		lm := &cd.loops[li]
 		lp := in.plan.Loops[lm.loop]
@@ -475,8 +585,8 @@ func (in *Interp) ensurePlanRT(cd *code) *planRT {
 		l := lm.loop
 		proc := in.Prog.ByName[lm.proc]
 		bases := in.workerBase[l]
-		lrt := &vmLoopRT{l: l, lp: lp, views: make([]workerView, in.plan.Workers)}
-		for w := 0; w < in.plan.Workers; w++ {
+		lrt := &vmLoopRT{l: l, lp: lp, views: make([]workerView, nw)}
+		for w := 0; w < nw; w++ {
 			rebind := map[*ir.Symbol]int64{}
 			privCommon := map[string]map[int64]int64{}
 			add := func(sym *ir.Symbol) {
@@ -492,7 +602,7 @@ func (in *Interp) ensurePlanRT(cd *code) *planRT {
 			// Mirror the tree-walker's bind() exactly: index always, privates
 			// for every worker but the last (§5.4), reductions always, plus
 			// per-worker storage for every reachable procedure's locals.
-			lastWorker := w == in.plan.Workers-1
+			lastWorker := w == nw-1
 			add(l.Index)
 			for _, s := range lp.Private {
 				if s != l.Index && !lastWorker {
@@ -522,12 +632,48 @@ func (in *Interp) ensurePlanRT(cd *code) *planRT {
 				}
 			}
 			counters.compiledViews.Add(1)
-			lrt.views[w] = workerView{cd: view, idxAddr: rebind[l.Index], inits: inits}
+			tb := in.workerTemp[w]
+			wv := &vm{
+				cd:        view,
+				mem:       in.arena,
+				stack:     make([]float64, view.maxStack),
+				tempTop:   tb,
+				tempLimit: tb + tempCells,
+				maxOps:    math.MaxInt64,
+			}
+			if view.register {
+				// Nested sequential loops inside this worker's assignment
+				// arm across its iterations, same threshold as whole runs.
+				wv.spec = make([]int32, len(view.loops))
+			}
+			lrt.views[w] = workerView{cd: view, idxAddr: rebind[l.Index], inits: inits, vm: wv}
 		}
 		rt.loops[int32(li)] = lrt
 	}
 	in.planRT = rt
 	return rt
+}
+
+// start readies the view's VM for one invocation: reduction accumulators
+// at their identity, the dispatching frame's parameter bindings loaded,
+// and the clock, loop stack and specialization arming zeroed, so every
+// invocation runs exactly as on a freshly built VM.
+func (view *workerView) start(out io.Writer, params []int64) *vm {
+	wv := view.vm
+	for _, init := range view.inits {
+		for k := int64(0); k < init.n; k++ {
+			wv.mem[init.base+k] = init.val
+		}
+	}
+	wv.out = out
+	// The view inherits the dispatching frame's parameter bindings, so
+	// formals referenced by the body (and not privatized) resolve exactly
+	// as the tree worker's copied frame does.
+	wv.paramStore = append(wv.paramStore[:0], params...)
+	wv.loopActs = wv.loopActs[:0]
+	wv.ops = 0
+	clear(wv.spec)
+	return wv
 }
 
 // runLoop executes one planned loop on the bytecode engine: the plan's
@@ -536,58 +682,27 @@ func (in *Interp) ensurePlanRT(cd *code) *planRT {
 // into the dispatching VM's clock, matching the tree-walker.
 func (rt *planRT) runLoop(v *vm, lrt *vmLoopRT, params []int64, lo, step float64, trips int64) error {
 	in := rt.in
-	workers := lrt.lp.width(in.plan.Workers, trips)
+	lp := lrt.lp
+	workers := lp.width(in.plan.Workers, trips)
 	if workers == 0 {
 		return nil
 	}
 	counters.parallelLoopRuns.Add(1)
 	counters.parallelWorkers.Add(int64(workers))
-	ids := planWorkerIDs(in.plan.Workers, workers, lastPosition(lrt.lp.Schedule, trips, workers))
-	psnap := append([]int64(nil), params...)
-	errs := make([]error, workers)
-	wops := make([]int64, workers)
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			view := &lrt.views[ids[p]]
-			for _, init := range view.inits {
-				for k := int64(0); k < init.n; k++ {
-					in.arena[init.base+k] = init.val
-				}
-			}
-			tb := in.workerTemp[ids[p]]
-			wv := &vm{
-				cd:  view.cd,
-				mem: in.arena,
-				out: in.Out,
-				// The view inherits the dispatching frame's parameter
-				// bindings, so formals referenced by the body (and not
-				// privatized) resolve exactly as the tree worker's copied
-				// frame does.
-				paramStore: append([]int64(nil), psnap...),
-				stack:      make([]float64, view.cd.maxStack),
-				tempTop:    tb,
-				tempLimit:  tb + tempCells,
-				maxOps:     math.MaxInt64,
-			}
-			if view.cd.register {
-				// Nested sequential loops inside this worker's assignment
-				// arm across its iterations, same threshold as whole runs.
-				wv.spec = make([]int32, len(view.cd.loops))
-			}
-			if err := forEachAssigned(lrt.lp.Schedule, trips, workers, p, func(it int64) error {
-				in.arena[view.idxAddr] = lo + float64(it)*step
-				return wv.run()
-			}); err != nil {
-				errs[p] = err
-				return
-			}
+	ids := planWorkerIDs(rt.ids[:workers], in.plan.Workers, lastPosition(lp.Schedule, trips, workers))
+	errs, wops := rt.errs[:workers], rt.wops[:workers]
+	in.helpers().run(workers, func(p int) {
+		view := &lrt.views[ids[p]]
+		wv := view.start(in.Out, params)
+		err := forEachAssigned(lp.Schedule, trips, workers, p, func(it int64) error {
+			in.arena[view.idxAddr] = lo + float64(it)*step
+			return wv.run()
+		})
+		errs[p], wops[p] = err, 0
+		if err == nil {
 			wops[p] = wv.ops
-		}(p)
-	}
-	wg.Wait()
+		}
+	})
 	for _, o := range wops {
 		v.ops += o
 	}
@@ -596,13 +711,13 @@ func (rt *planRT) runLoop(v *vm, lrt *vmLoopRT, params []int64, lo, step float64
 			return err
 		}
 	}
-	in.noteParallel(lrt.l, lrt.lp, wops)
-	for _, red := range lrt.lp.Reductions {
-		wb := make([]int64, workers)
-		for p := 0; p < workers; p++ {
+	in.noteParallel(lrt.l, lp, wops)
+	wb := rt.wb[:workers]
+	for _, red := range lp.Reductions {
+		for p := range wb {
 			wb[p] = in.workerBase[lrt.l][red.Sym][ids[p]]
 		}
-		in.mergeReduction(red, wb, in.sharedBase(red.Sym, psnap), lrt.lp)
+		in.mergeReduction(red, wb, in.sharedBase(red.Sym, params), lp)
 	}
 	return nil
 }

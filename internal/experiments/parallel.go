@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"suifx/internal/exec"
+	"suifx/internal/ir"
 	"suifx/internal/parallel"
 	"suifx/internal/workloads"
 )
@@ -25,20 +26,32 @@ type ParallelRunOptions struct {
 	Chunks    int
 }
 
-// RunParallel executes one workload under the plan derived from its
-// user-assisted Chapter 4 parallelization and returns the finished
-// interpreter (arena, ops and parallel stats intact) plus the analysis
-// result the plan came from.
-func RunParallel(name string, opt ParallelRunOptions) (*exec.Interp, *parallel.Result, error) {
+// PlanParallel derives the plan RunParallel executes: the workload's
+// user-assisted Chapter 4 parallelization lowered at opt's worker count
+// and finalization discipline. It returns the program, the plan and the
+// analysis result the plan came from.
+func PlanParallel(name string, opt ParallelRunOptions) (*ir.Program, *exec.ParallelPlan, *parallel.Result, error) {
 	w := workloads.ByName(name)
 	if w == nil {
-		return nil, nil, fmt.Errorf("experiments: unknown workload %q", name)
+		return nil, nil, nil, fmt.Errorf("experiments: unknown workload %q", name)
 	}
 	prog, sum := cachedAnalysis(w)
 	res := parallel.ParallelizeWith(sum, ch4Config(w, true))
 	plan := parallel.BuildPlanOpts(res, parallel.PlanOptions{
 		Workers: opt.Workers, Staggered: opt.Staggered, Chunks: opt.Chunks,
 	})
+	return prog, plan, res, nil
+}
+
+// RunParallel executes one workload under the plan derived from its
+// user-assisted Chapter 4 parallelization and returns the finished
+// interpreter (arena, ops and parallel stats intact) plus the analysis
+// result the plan came from.
+func RunParallel(name string, opt ParallelRunOptions) (*exec.Interp, *parallel.Result, error) {
+	prog, plan, res, err := PlanParallel(name, opt)
+	if err != nil {
+		return nil, nil, err
+	}
 	in := exec.NewWithPlan(prog, plan)
 	in.Mode = opt.Mode
 	if err := in.Run(); err != nil {
